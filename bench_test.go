@@ -8,6 +8,7 @@ package cloudmap
 // paper-scale run).
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -67,11 +68,11 @@ func BenchmarkTable1BorderInference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inf := border.New(s.sys.Registry, "amazon")
-		if err := s.sys.Prober.Campaign(vms, targets, inf.Consume); err != nil {
+		if _, err := s.sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, vms, targets, 1, probe.RetryPolicy{}, 1, inf.Consume); err != nil {
 			b.Fatal(err)
 		}
 		inf.BeginRound2()
-		if err := s.sys.Prober.Campaign(vms, probe.ExpansionTargets(inf.CandidateCBIs()), inf.Consume); err != nil {
+		if _, err := s.sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, vms, probe.ExpansionTargets(inf.CandidateCBIs()), 1, probe.RetryPolicy{}, 1, inf.Consume); err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
@@ -294,7 +295,7 @@ func BenchmarkAblationNoExpansion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inf := border.New(s.sys.Registry, "amazon")
-		if err := s.sys.Prober.Campaign(vms, targets, inf.Consume); err != nil {
+		if _, err := s.sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, vms, targets, 1, probe.RetryPolicy{}, 1, inf.Consume); err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
@@ -363,7 +364,7 @@ func BenchmarkAblationNoOrgGrouping(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		inf := border.New(s.sys.Registry, "amazon")
 		inf.DisableOrgGrouping(16509)
-		if err := s.sys.Prober.Campaign(vms, targets, inf.Consume); err != nil {
+		if _, err := s.sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, vms, targets, 1, probe.RetryPolicy{}, 1, inf.Consume); err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {

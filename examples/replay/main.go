@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -43,7 +44,7 @@ func main() {
 	live := border.New(sys.Registry, "amazon")
 	targets := probe.Round1Targets(sys.Topology, probe.Round1Options{})
 	fmt.Printf("phase 1: probing %d targets from 15 regions, recording to %s\n", len(targets), path)
-	if err := sys.Prober.Campaign(sys.Prober.VMs("amazon"), targets, tracefile.Tee(w.Sink(), live.Consume)); err != nil {
+	if _, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, sys.Prober.VMs("amazon"), targets, 1, probe.RetryPolicy{}, 1, tracefile.Tee(w.Sink(), live.Consume)); err != nil {
 		log.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

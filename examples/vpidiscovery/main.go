@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,11 +31,11 @@ func main() {
 	fmt.Println("step 1: inferring Amazon's borders from its 15 regions...")
 	inf := border.New(sys.Registry, "amazon")
 	vms := sys.Prober.VMs("amazon")
-	if err := sys.Prober.Campaign(vms, probe.Round1Targets(sys.Topology, probe.Round1Options{}), inf.Consume); err != nil {
+	if _, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, vms, probe.Round1Targets(sys.Topology, probe.Round1Options{}), 1, probe.RetryPolicy{}, 1, inf.Consume); err != nil {
 		log.Fatal(err)
 	}
 	inf.BeginRound2()
-	if err := sys.Prober.Campaign(vms, probe.ExpansionTargets(inf.CandidateCBIs()), inf.Consume); err != nil {
+	if _, err := sys.Prober.CampaignRetryObsCtx(context.Background(), nil, nil, vms, probe.ExpansionTargets(inf.CandidateCBIs()), 1, probe.RetryPolicy{}, 1, inf.Consume); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %d CBIs inferred\n", len(inf.CandidateCBIs()))

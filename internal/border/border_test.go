@@ -1,6 +1,7 @@
 package border
 
 import (
+	"context"
 	"testing"
 
 	"cloudmap/internal/model"
@@ -29,7 +30,7 @@ func runRound1(t testing.TB) *harness {
 	pr := probe.NewProber(tp, route.NewForwarder(tp))
 	inf := New(reg, "amazon")
 	targets := probe.Round1Targets(tp, probe.Round1Options{})
-	if err := pr.Campaign(pr.VMs("amazon"), targets, inf.Consume); err != nil {
+	if _, err := pr.CampaignRetryObsCtx(context.Background(), nil, nil, pr.VMs("amazon"), targets, 1, probe.RetryPolicy{}, 1, inf.Consume); err != nil {
 		t.Fatal(err)
 	}
 	return &harness{tp: tp, reg: reg, pr: pr, inf: inf}
@@ -143,7 +144,7 @@ func TestExpansionIncreasesCBIs(t *testing.T) {
 
 	h.inf.BeginRound2()
 	targets := probe.ExpansionTargets(h.inf.CandidateCBIs())
-	if err := h.pr.Campaign(h.pr.VMs("amazon"), targets, h.inf.Consume); err != nil {
+	if _, err := h.pr.CampaignRetryObsCtx(context.Background(), nil, nil, h.pr.VMs("amazon"), targets, 1, probe.RetryPolicy{}, 1, h.inf.Consume); err != nil {
 		t.Fatal(err)
 	}
 	after := len(h.inf.CandidateCBIs())
@@ -174,7 +175,7 @@ func TestOrgGroupingMatters(t *testing.T) {
 	naive := New(h.reg, "amazon")
 	naive.DisableOrgGrouping(16509)
 	targets := probe.Round1Targets(h.tp, probe.Round1Options{})
-	if err := h.pr.Campaign(h.pr.VMs("amazon")[:3], targets, naive.Consume); err != nil {
+	if _, err := h.pr.CampaignRetryObsCtx(context.Background(), nil, nil, h.pr.VMs("amazon")[:3], targets, 1, probe.RetryPolicy{}, 1, naive.Consume); err != nil {
 		t.Fatal(err)
 	}
 	spurious := 0

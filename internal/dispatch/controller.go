@@ -16,6 +16,7 @@ import (
 	"cloudmap/internal/netblock"
 	"cloudmap/internal/obs"
 	olog "cloudmap/internal/obs/log"
+	"cloudmap/internal/ordered"
 	"cloudmap/internal/probe"
 	"cloudmap/internal/tracefile"
 )
@@ -515,98 +516,27 @@ func (c *Controller) Campaign(ctx context.Context, sp *obs.Span, prog *obs.Progr
 		return p.CampaignRetryObsCtx(ctx, sp, prog, vms, targets, workers, pol, epoch, sink)
 	}
 
-	runChunk := func(wc probe.WorkChunk, lane int) ([]probe.Trace, probe.CampaignStats, error) {
-		return c.runChunk(ctx, sp, prog, p, wc, targets[wc.From:wc.To], len(chunks), pol, epoch, lane)
-	}
-
-	var total probe.CampaignStats
-	if workers <= 1 {
-		for _, wc := range chunks {
-			batch, cs, err := runChunk(wc, 1)
-			if err != nil {
-				return total, err
-			}
-			total.Merge(cs)
-			for _, tr := range batch {
-				sink(tr)
-			}
-		}
-		return total, nil
-	}
-
-	// The ordered-delivery discipline the local engine uses: workers claim
-	// chunk indexes atomically and publish into per-chunk slots; the
-	// delivery loop merges in chunk order.
+	// The local campaign's executor: chunks run on worker lanes, and stats
+	// and traces merge in chunk order.
 	type result struct {
 		traces []probe.Trace
 		stats  probe.CampaignStats
 	}
-	results := make([]chan result, len(chunks))
-	for i := range results {
-		results[i] = make(chan result, 1)
-	}
-	var (
-		next     atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				idx := int(next.Add(1)) - 1
-				if idx >= len(chunks) {
-					return
-				}
-				batch, cs, err := runChunk(chunks[idx], lane)
-				if err != nil {
-					setErr(err)
-					results[idx] <- result{}
-					return
-				}
-				results[idx] <- result{traces: batch, stats: cs}
-			}
-		}(w + 1)
-	}
-
-deliver:
-	for i := range chunks {
-		var r result
-		select {
-		case r = <-results[i]:
-		case <-ctx.Done():
-			break deliver
-		}
-		if r.traces == nil {
-			break
-		}
+	var total probe.CampaignStats
+	err := ordered.Run(ctx, len(chunks), workers, func(i, lane int) (result, error) {
+		wc := chunks[i]
+		traces, cs, err := c.runChunk(ctx, sp, prog, p, wc, targets[wc.From:wc.To], len(chunks), pol, epoch, lane+1)
+		return result{traces, cs}, err
+	}, func(_ int, r result) {
 		total.Merge(r.stats)
 		for _, tr := range r.traces {
 			sink(tr)
 		}
-		if ctx.Err() != nil {
-			break
-		}
+	})
+	if err != nil && err == ctx.Err() {
+		err = fmt.Errorf("dispatch: campaign interrupted: %w", err)
 	}
-	wg.Wait()
-	errMu.Lock()
-	defer errMu.Unlock()
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = fmt.Errorf("dispatch: campaign interrupted: %w", ctx.Err())
-	}
-	return total, firstErr
+	return total, err
 }
 
 // runChunk executes one chunk: lease it remotely (with deadline, hedging,

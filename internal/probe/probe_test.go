@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"context"
 	"testing"
 
 	"cloudmap/internal/model"
@@ -66,7 +67,7 @@ func TestCampaignYieldShape(t *testing.T) {
 	}
 	var total, completed, exited, loops int
 	amazonOrg := tp.OrgOf(tp.Amazon().PrimaryAS())
-	err := p.Campaign(vms[:3], sample, func(tr Trace) {
+	_, err := p.CampaignRetryObsCtx(context.Background(), nil, nil, vms[:3], sample, 1, RetryPolicy{}, 1, func(tr Trace) {
 		total++
 		if tr.Status == StatusCompleted {
 			completed++
@@ -246,39 +247,6 @@ func TestAliasProbeMonotoneSharedCounter(t *testing.T) {
 		return
 	}
 	t.Skip("no reachable shared-IPID router with two public interfaces")
-}
-
-func TestCampaignParallelMatchesSequential(t *testing.T) {
-	tp, p := newProber(t)
-	targets := Round1Targets(tp, Round1Options{})[:2500]
-	vms := p.VMs("amazon")[:2]
-
-	var seq, par []Trace
-	if err := p.Campaign(vms, targets, func(tr Trace) { seq = append(seq, tr) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CampaignParallel(vms, targets, 4, func(tr Trace) { par = append(par, tr) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("parallel produced %d traces, sequential %d", len(par), len(seq))
-	}
-	for i := range seq {
-		a, b := seq[i], par[i]
-		if a.Src != b.Src || a.Dst != b.Dst || a.Status != b.Status || len(a.Hops) != len(b.Hops) {
-			t.Fatalf("trace %d differs between sequential and parallel", i)
-		}
-		for h := range a.Hops {
-			if a.Hops[h] != b.Hops[h] {
-				t.Fatalf("trace %d hop %d differs", i, h)
-			}
-		}
-	}
-	// workers<=1 falls back to sequential.
-	n := 0
-	if err := p.CampaignParallel(vms, targets[:100], 1, func(Trace) { n++ }); err != nil || n != 200 {
-		t.Fatalf("workers=1 fallback: n=%d err=%v", n, err)
-	}
 }
 
 func TestVMsListing(t *testing.T) {

@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"cloudmap/internal/netblock"
 	"cloudmap/internal/obs"
+	"cloudmap/internal/ordered"
 )
 
 // AttemptStats reports what the fault layer did to one traceroute attempt.
@@ -237,20 +236,6 @@ func (p *Prober) traceRetry(sp *obs.Span, prog *obs.Progress, ref VMRef, vmKey u
 	return best, nil
 }
 
-// CampaignRetryCtx runs a campaign under the prober's fault injector with
-// per-probe retries. It delivers traces in exactly the order CampaignCtx
-// would and returns aggregate fault/retry stats; both the stream and the
-// stats are identical for any worker count. epoch separates the virtual
-// schedules of distinct probing rounds (round 1 vs. expansion), so a target
-// probed in both rounds lands at independent virtual times.
-//
-// With a nil injector and a single-attempt policy this degenerates to the
-// plain parallel campaign: every probe runs at virtual time zero and the
-// stats carry only probe counts.
-func (p *Prober) CampaignRetryCtx(ctx context.Context, vms []VMRef, targets []netblock.IP, workers int, pol RetryPolicy, epoch uint64, sink TraceSink) (CampaignStats, error) {
-	return p.CampaignRetryObsCtx(ctx, nil, nil, vms, targets, workers, pol, epoch, sink)
-}
-
 // chunkAttrs digests one chunk's campaign stats into journal attrs. All
 // fields are deterministic sums of per-probe fault draws, so the chunk's
 // end event replays byte-identically at any worker count.
@@ -371,104 +356,52 @@ func (p *Prober) RunChunkObs(ctx context.Context, sp *obs.Span, prog *obs.Progre
 	return out, cs, nil
 }
 
-// CampaignRetryObsCtx is CampaignRetryCtx with observability: each work
-// chunk runs under a span (kind "chunk", keyed by the deterministic chunk
-// index, placed on the Chrome lane of the worker that executed it), fault
-// classifications and retry attempts become journal events on that span,
-// and retries burn down prog's live retry-budget gauge. sp and prog may be
-// nil (no-ops); the hot path then pays one nil check per probe.
+// CampaignRetryObsCtx is the campaign entry point: it probes every target
+// from every VM under the prober's fault injector with per-probe retries,
+// streams the traces to sink in campaign order (VMs in order, targets in
+// order) and returns aggregate fault/retry stats. The stream and the stats
+// are identical for any worker count: chunks run on internal/ordered's
+// executor and merge in chunk order. epoch separates the virtual schedules
+// of distinct probing rounds (round 1 vs. expansion), so a target probed in
+// both rounds lands at independent virtual times.
+//
+// Each work chunk runs under a span (kind "chunk", keyed by the
+// deterministic chunk index, placed on the Chrome lane of the worker that
+// executed it); fault classifications and retry attempts become journal
+// events on that span, and retries burn down prog's live retry-budget
+// gauge. sp and prog may be nil (no-ops).
+//
+// Without an injector every probe runs at virtual time zero and a
+// single-attempt policy yields exactly the traces of a plain loop over
+// Traceroute, with stats carrying only probe counts. With an injector,
+// probes land at their scheduled virtual times, so the stream differs from
+// Traceroute's fault-clock-zero probing even without retries.
+//
+// Cancellation is checked before every probe; the returned error then wraps
+// ctx.Err(), and every trace already delivered to sink stays a valid
+// (deterministic-prefix) partial campaign. On a chunk failure no further
+// chunk starts, and the error is the lowest failing chunk's.
 func (p *Prober) CampaignRetryObsCtx(ctx context.Context, sp *obs.Span, prog *obs.Progress, vms []VMRef, targets []netblock.IP, workers int, pol RetryPolicy, epoch uint64, sink TraceSink) (CampaignStats, error) {
 	pol = pol.withDefaults()
 	chunks := ChunkCampaign(vms, targets)
-
-	runChunk := func(c WorkChunk, lane int) ([]Trace, CampaignStats, error) {
-		share := ChunkRetryBudget(pol.Budget, len(chunks), c.Index)
-		return p.RunChunkObs(ctx, sp, prog, c, targets[c.From:c.To], pol, epoch, share, lane)
-	}
-
-	var total CampaignStats
-	if workers <= 1 {
-		for _, c := range chunks {
-			batch, cs, err := runChunk(c, 1)
-			if err != nil {
-				return total, err
-			}
-			total.Merge(cs)
-			for _, tr := range batch {
-				sink(tr)
-			}
-		}
-		return total, nil
-	}
-
 	type result struct {
 		traces []Trace
 		stats  CampaignStats
 	}
-	results := make([]chan result, len(chunks))
-	for i := range results {
-		results[i] = make(chan result, 1)
-	}
-	var (
-		next     atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				idx := int(next.Add(1)) - 1
-				if idx >= len(chunks) {
-					return
-				}
-				batch, cs, err := runChunk(chunks[idx], lane)
-				if err != nil {
-					setErr(err)
-					results[idx] <- result{}
-					return
-				}
-				results[idx] <- result{traces: batch, stats: cs}
-			}
-		}(w + 1)
-	}
-
-deliver:
-	for i := range chunks {
-		var r result
-		select {
-		case r = <-results[i]:
-		case <-ctx.Done():
-			break deliver
-		}
-		if r.traces == nil {
-			break
-		}
+	var total CampaignStats
+	err := ordered.Run(ctx, len(chunks), workers, func(i, lane int) (result, error) {
+		c := chunks[i]
+		share := ChunkRetryBudget(pol.Budget, len(chunks), i)
+		traces, cs, err := p.RunChunkObs(ctx, sp, prog, c, targets[c.From:c.To], pol, epoch, share, lane+1)
+		return result{traces, cs}, err
+	}, func(_ int, r result) {
 		total.Merge(r.stats)
 		for _, tr := range r.traces {
 			sink(tr)
 		}
-		if ctx.Err() != nil {
-			break
-		}
+	})
+	if err != nil && err == ctx.Err() {
+		err = fmt.Errorf("probe: campaign interrupted: %w", err)
 	}
-	wg.Wait()
-	errMu.Lock()
-	defer errMu.Unlock()
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = fmt.Errorf("probe: campaign interrupted: %w", ctx.Err())
-	}
-	return total, firstErr
+	return total, err
 }

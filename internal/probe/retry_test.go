@@ -2,6 +2,7 @@ package probe
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -31,25 +32,65 @@ func fingerprintTraces(ts []Trace) uint64 {
 	return h
 }
 
+// plainTraces is the reference stream: a sequential loop over Traceroute
+// in campaign order (VM-major, then target).
+func plainTraces(t *testing.T, p *Prober, vms []VMRef, targets []netblock.IP) []Trace {
+	t.Helper()
+	var out []Trace
+	for _, vm := range vms {
+		for _, dst := range targets {
+			tr, err := p.Traceroute(vm, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, tr)
+		}
+	}
+	return out
+}
+
+// TestCampaignParallelMatchesSequential: without an injector, the campaign
+// streams the same traces in the same order at one worker and at four.
+func TestCampaignParallelMatchesSequential(t *testing.T) {
+	tp, p := newProber(t)
+	targets := Round1Targets(tp, Round1Options{})[:2500]
+	vms := p.VMs("amazon")[:2]
+
+	run := func(workers int) []Trace {
+		var out []Trace
+		if _, err := p.CampaignRetryObsCtx(context.Background(), nil, nil, vms, targets, workers, RetryPolicy{}, 1, func(tr Trace) { out = append(out, tr) }); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	seq, par := run(1), run(4)
+	if len(seq) != len(par) {
+		t.Fatalf("parallel produced %d traces, sequential %d", len(par), len(seq))
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatal("trace stream differs between workers=1 and workers=4")
+	}
+	if want := plainTraces(t, p, vms, targets); !reflect.DeepEqual(seq, want) {
+		t.Fatal("sequential campaign differs from the plain Traceroute loop")
+	}
+}
+
 // TestCampaignRetryNoFaultsMatchesPlain: with a nil injector and a
-// single-attempt policy, the retry engine produces byte-for-byte the same
-// trace stream as the plain parallel campaign.
+// single-attempt policy, the campaign produces exactly the trace stream of
+// a plain loop over Traceroute, and its stats carry only probe counts.
 func TestCampaignRetryNoFaultsMatchesPlain(t *testing.T) {
 	tp, p := newProber(t)
 	targets := Round1Targets(tp, Round1Options{})[:600]
 	vms := p.VMs("amazon")[:3]
 
-	var plain []Trace
-	if err := p.CampaignParallelCtx(context.Background(), vms, targets, 4, func(tr Trace) { plain = append(plain, tr) }); err != nil {
-		t.Fatal(err)
-	}
-	var viaRetry []Trace
-	stats, err := p.CampaignRetryCtx(context.Background(), vms, targets, 4, RetryPolicy{}, 1, func(tr Trace) { viaRetry = append(viaRetry, tr) })
+	plain := plainTraces(t, p, vms, targets)
+	var got []Trace
+	stats, err := p.CampaignRetryObsCtx(context.Background(), nil, nil, vms, targets, 4, RetryPolicy{}, 1, func(tr Trace) { got = append(got, tr) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain) != len(viaRetry) || fingerprintTraces(plain) != fingerprintTraces(viaRetry) {
-		t.Fatal("fault-free retry campaign differs from the plain campaign")
+	if len(plain) != len(got) || fingerprintTraces(plain) != fingerprintTraces(got) || !reflect.DeepEqual(got, plain) {
+		t.Fatal("fault-free campaign differs from the plain Traceroute loop")
 	}
 	if stats.Degraded() {
 		t.Fatalf("fault-free campaign reports degradation: %+v", stats)
@@ -78,7 +119,7 @@ func TestCampaignRetryWorkerInvariance(t *testing.T) {
 
 	run := func(workers int) ([]Trace, CampaignStats) {
 		var out []Trace
-		stats, err := p.CampaignRetryCtx(context.Background(), vms, targets, workers, pol, 1, func(tr Trace) { out = append(out, tr) })
+		stats, err := p.CampaignRetryObsCtx(context.Background(), nil, nil, vms, targets, workers, pol, 1, func(tr Trace) { out = append(out, tr) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +159,7 @@ func TestCampaignRetryBudgetFailSoft(t *testing.T) {
 	pol := RetryPolicy{MaxAttempts: 4, BackoffSec: 1, BackoffFactor: 2, Budget: 3}
 
 	var n int
-	stats, err := p.CampaignRetryCtx(context.Background(), vms, targets, 4, pol, 1, func(Trace) { n++ })
+	stats, err := p.CampaignRetryObsCtx(context.Background(), nil, nil, vms, targets, 4, pol, 1, func(Trace) { n++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +189,7 @@ func TestRetryImprovesRecovery(t *testing.T) {
 
 	responsive := func(pol RetryPolicy) int {
 		total := 0
-		_, err := p.CampaignRetryCtx(context.Background(), vms, targets, 4, pol, 1, func(tr Trace) {
+		_, err := p.CampaignRetryObsCtx(context.Background(), nil, nil, vms, targets, 4, pol, 1, func(tr Trace) {
 			for _, h := range tr.Hops {
 				if h.Responsive() {
 					total++
@@ -179,7 +220,7 @@ func TestAttemptStatsClassification(t *testing.T) {
 	targets := Round1Targets(tp, Round1Options{})[:2000]
 	vms := p.VMs("amazon")
 
-	stats, err := p.CampaignRetryCtx(context.Background(), vms, targets, 8, RetryPolicy{MaxAttempts: 2, BackoffSec: 1, BackoffFactor: 2}, 1, func(Trace) {})
+	stats, err := p.CampaignRetryObsCtx(context.Background(), nil, nil, vms, targets, 8, RetryPolicy{MaxAttempts: 2, BackoffSec: 1, BackoffFactor: 2}, 1, func(Trace) {})
 	if err != nil {
 		t.Fatal(err)
 	}

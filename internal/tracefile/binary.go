@@ -42,9 +42,9 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"cloudmap/internal/netblock"
+	"cloudmap/internal/ordered"
 	"cloudmap/internal/probe"
 )
 
@@ -668,18 +668,17 @@ func readBinaryIndex(f *os.File) ([]binChunkInfo, uint64, error) {
 // ReplayFileParallel replays the tracefile at path, fanning chunk decode
 // across workers when the file is a complete v2 binary checkpoint. Traces
 // are delivered to sink in exactly the order a sequential replay would
-// produce — workers decode chunks out of order, a coordinator emits them in
-// sequence (the same discipline probe.CampaignParallelCtx uses), so every
-// consumer-visible artefact stays byte-identical at any worker count. Text,
-// gzip, partial and torn files fall back to the sequential sniffing reader.
+// produce: chunks decode on internal/ordered's executor, the same one every
+// probing campaign runs on, so every consumer-visible artefact stays
+// byte-identical at any worker count. Text, gzip, partial and torn files
+// fall back to the sequential sniffing reader.
 func ReplayFileParallel(path string, workers int, sink probe.TraceSink) (Summary, error) {
 	return ReplayFileParallelCtx(context.Background(), path, workers, sink)
 }
 
 // ReplayFileParallelCtx is ReplayFileParallel under a context: cancellation
-// stops delivery between batches, drains the worker pool without leaking a
-// goroutine (every per-chunk channel is buffered and written at most once,
-// so no sender can block), and returns an error wrapping ctx.Err().
+// stops delivery between chunks, returns only once every decoder has
+// exited, and yields an error wrapping ctx.Err().
 func ReplayFileParallelCtx(ctx context.Context, path string, workers int, sink probe.TraceSink) (Summary, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -696,97 +695,57 @@ func ReplayFileParallelCtx(ctx context.Context, path string, workers int, sink p
 		return Replay(f, sink)
 	}
 
-	type result struct {
-		batch *[]probe.Trace
-		err   error
+	// Per-lane decode state: each executor lane owns its scratch and frame
+	// buffer, so decoders share nothing.
+	type lane struct {
+		sc  *binScratch
+		buf []byte
 	}
-	results := make([]chan result, len(chunks))
-	for i := range results {
-		results[i] = make(chan result, 1)
+	lanes := make([]lane, min(workers, len(chunks)))
+	for i := range lanes {
+		lanes[i].sc = scratchPool.Get().(*binScratch)
 	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := scratchPool.Get().(*binScratch)
-			defer scratchPool.Put(sc)
-			var buf []byte
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				idx := int(next.Add(1)) - 1
-				if idx >= len(chunks) {
-					return
-				}
-				ci := chunks[idx]
-				if cap(buf) < int(ci.plen)+binFrameHeaderLen {
-					buf = make([]byte, int(ci.plen)+binFrameHeaderLen)
-				}
-				b := buf[:int(ci.plen)+binFrameHeaderLen]
-				if _, err := f.ReadAt(b, int64(ci.off)); err != nil {
-					results[idx] <- result{err: fmt.Errorf("%w: chunk %d unreadable: %v", ErrTruncated, idx, err)}
-					continue
-				}
-				if crc32.ChecksumIEEE(b[binFrameHeaderLen:]) != binary.LittleEndian.Uint32(b[9:13]) {
-					results[idx] <- result{err: fmt.Errorf("%w: chunk %d crc mismatch", ErrTruncated, idx)}
-					continue
-				}
-				bp := batchPool.Get().(*[]probe.Trace)
-				out, err := decodeChunk(b[binFrameHeaderLen:], ci.records, sc, (*bp)[:0])
-				*bp = out
-				if err != nil {
-					results[idx] <- result{err: err}
-					batchPool.Put(bp)
-					continue
-				}
-				results[idx] <- result{batch: bp}
-			}
-		}()
-	}
+	defer func() {
+		for i := range lanes {
+			scratchPool.Put(lanes[i].sc)
+		}
+	}()
 
 	var sum Summary
-	var firstErr error
-deliver:
-	for i := range chunks {
-		var res result
-		select {
-		case res = <-results[i]:
-		case <-ctx.Done():
-			// Workers see the cancellation at their next loop check and
-			// exit; chunks already published stay in their buffered
-			// channels for the garbage collector. Nothing blocks.
-			break deliver
+	err = ordered.Run(ctx, len(chunks), len(lanes), func(idx, li int) (*[]probe.Trace, error) {
+		ci, ln := chunks[idx], &lanes[li]
+		n := int(ci.plen) + binFrameHeaderLen
+		if cap(ln.buf) < n {
+			ln.buf = make([]byte, n)
 		}
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			continue
+		b := ln.buf[:n]
+		if _, err := f.ReadAt(b, int64(ci.off)); err != nil {
+			return nil, fmt.Errorf("%w: chunk %d unreadable: %v", ErrTruncated, idx, err)
 		}
-		if firstErr == nil && ctx.Err() == nil {
-			for _, tr := range *res.batch {
-				sink(tr)
-			}
-			sum.Traces += len(*res.batch)
+		if crc32.ChecksumIEEE(b[binFrameHeaderLen:]) != binary.LittleEndian.Uint32(b[9:13]) {
+			return nil, fmt.Errorf("%w: chunk %d crc mismatch", ErrTruncated, idx)
 		}
-		*res.batch = (*res.batch)[:0]
-		batchPool.Put(res.batch)
-		if ctx.Err() != nil {
-			break
+		bp := batchPool.Get().(*[]probe.Trace)
+		out, err := decodeChunk(b[binFrameHeaderLen:], ci.records, ln.sc, (*bp)[:0])
+		if err != nil {
+			batchPool.Put(bp)
+			return nil, err
 		}
-	}
-	wg.Wait()
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = fmt.Errorf("tracefile: replay interrupted: %w", ctx.Err())
-	}
-	if firstErr != nil {
-		return sum, firstErr
+		*bp = out
+		return bp, nil
+	}, func(_ int, bp *[]probe.Trace) {
+		for _, tr := range *bp {
+			sink(tr)
+		}
+		sum.Traces += len(*bp)
+		*bp = (*bp)[:0]
+		batchPool.Put(bp)
+	})
+	if err != nil {
+		if err == ctx.Err() {
+			err = fmt.Errorf("tracefile: replay interrupted: %w", err)
+		}
+		return sum, err
 	}
 	if uint64(sum.Traces) != total {
 		return sum, fmt.Errorf("tracefile: parallel replay delivered %d of %d traces", sum.Traces, total)

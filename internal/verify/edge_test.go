@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"sort"
 	"testing"
 
 	"cloudmap/internal/border"
@@ -14,22 +15,24 @@ func TestMajorityOwner(t *testing.T) {
 	reg := h.reg
 
 	// Build synthetic alias sets from known annotations: take three client
-	// addresses of one AS and check the majority is that AS.
-	var addrs []netblock.IP
-	var asn uint32
+	// addresses of the AS with the most CBIs (lowest ASN on ties, so the
+	// choice does not depend on map order) and check the majority is that AS.
+	byAS := map[uint32][]netblock.IP{}
 	for addr, ci := range h.inf.CBIs {
-		if ci.Ann.ASN == 0 {
-			continue
+		if ci.Ann.ASN != 0 {
+			byAS[uint32(ci.Ann.ASN)] = append(byAS[uint32(ci.Ann.ASN)], addr)
 		}
-		if asn == 0 {
-			asn = uint32(ci.Ann.ASN)
+	}
+	var asn uint32
+	for a, as := range byAS {
+		if asn == 0 || len(as) > len(byAS[asn]) || (len(as) == len(byAS[asn]) && a < asn) {
+			asn = a
 		}
-		if uint32(ci.Ann.ASN) == asn {
-			addrs = append(addrs, addr)
-			if len(addrs) == 3 {
-				break
-			}
-		}
+	}
+	addrs := byAS[asn]
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	if len(addrs) > 3 {
+		addrs = addrs[:3]
 	}
 	if len(addrs) < 2 {
 		t.Skip("not enough same-AS CBIs")

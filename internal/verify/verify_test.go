@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -41,12 +42,12 @@ func sharedHarness(t *testing.T) *harness {
 		pr := probe.NewProber(tp, route.NewForwarder(tp))
 		inf := border.New(reg, "amazon")
 		vms := pr.VMs("amazon")
-		if err := pr.Campaign(vms, probe.Round1Targets(tp, probe.Round1Options{}), inf.Consume); err != nil {
+		if _, err := pr.CampaignRetryObsCtx(context.Background(), nil, nil, vms, probe.Round1Targets(tp, probe.Round1Options{}), 1, probe.RetryPolicy{}, 1, inf.Consume); err != nil {
 			hErr = err
 			return
 		}
 		inf.BeginRound2()
-		if err := pr.Campaign(vms, probe.ExpansionTargets(inf.CandidateCBIs()), inf.Consume); err != nil {
+		if _, err := pr.CampaignRetryObsCtx(context.Background(), nil, nil, vms, probe.ExpansionTargets(inf.CandidateCBIs()), 1, probe.RetryPolicy{}, 1, inf.Consume); err != nil {
 			hErr = err
 			return
 		}

@@ -81,8 +81,16 @@ func Detect(pr *probe.Prober, reg *registry.Registry, amazonInf *border.Inferenc
 			return nil, fmt.Errorf("vpi: unknown cloud %q", cloud)
 		}
 		inf := border.New(reg, cloud)
-		if err := pr.Campaign(vms, pool, inf.Consume); err != nil {
-			return nil, err
+		// One attempt per target with the fault clock at zero, outside the
+		// campaign's fault schedule and retry policy.
+		for _, vm := range vms {
+			for _, dst := range pool {
+				tr, err := pr.Traceroute(vm, dst)
+				if err != nil {
+					return nil, err
+				}
+				inf.Consume(tr)
+			}
 		}
 		overlap := map[netblock.IP]struct{}{}
 		for cbi := range inf.CBIs {

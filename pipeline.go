@@ -44,8 +44,9 @@ import (
 type RunOptions struct {
 	// CheckpointDir, when non-empty, persists the probing rounds as binary
 	// v2 tracefiles (campaign.traces.bin, expansion.traces.bin) plus the run
-	// manifest (manifest.json) in that directory. Legacy gzip-text
-	// checkpoints (*.traces.gz) from older runs are still resumable.
+	// manifest (manifest.json) in that directory. Binary v2 is the only
+	// probe-checkpoint format a resume reads: a gzip-text *.traces.gz left
+	// there by a pre-v2 run is ignored, and that round re-probes.
 	CheckpointDir string
 	// Resume replays complete campaign checkpoints from CheckpointDir
 	// instead of re-probing; interrupted (trailer-less) checkpoints are
@@ -675,43 +676,13 @@ func (s *pipeState) roundSink(sc *pipeline.StageContext) (probe.TraceSink, func(
 	return sink, flush
 }
 
-// checkpointPath names a probing round's tracefile; "" when checkpointing
-// is off. New checkpoints are written in the v2 binary format (.traces.bin);
-// resolveCheckpoint finds whichever encoding is actually on disk.
+// checkpointPath names a probing round's binary v2 tracefile; "" when
+// checkpointing is off.
 func (s *pipeState) checkpointPath(stage string) string {
 	if s.opts.CheckpointDir == "" {
 		return ""
 	}
 	return filepath.Join(s.opts.CheckpointDir, stage+".traces.bin")
-}
-
-// legacyCheckpointPath is the pre-v2 gzip-text checkpoint name.
-func (s *pipeState) legacyCheckpointPath(stage string) string {
-	if s.opts.CheckpointDir == "" {
-		return ""
-	}
-	return filepath.Join(s.opts.CheckpointDir, stage+".traces.gz")
-}
-
-// resolveCheckpoint picks the checkpoint file resume should read: the v2
-// binary if present, otherwise a legacy gzip-text file left by an older
-// run (the replay readers sniff the encoding either way). Returns the
-// default (binary) path when neither exists, so the not-found handling in
-// resumeRound stays in one place.
-func (s *pipeState) resolveCheckpoint(stage string) string {
-	path := s.checkpointPath(stage)
-	if path == "" {
-		return ""
-	}
-	if _, err := os.Stat(path); err == nil {
-		return path
-	}
-	if legacy := s.legacyCheckpointPath(stage); legacy != "" {
-		if _, err := os.Stat(legacy); err == nil {
-			return legacy
-		}
-	}
-	return path
 }
 
 // probeRound runs one probing round under the retry policy, teeing traces
@@ -751,12 +722,6 @@ func (s *pipeState) probeRound(ctx context.Context, sc *pipeline.StageContext, s
 			fw.Close()
 		} else if cerr := fw.Finish(); cerr != nil {
 			err = fmt.Errorf("checkpoint %s: %w", s.checkpointPath(stage), cerr)
-		} else if legacy := s.legacyCheckpointPath(stage); legacy != "" {
-			// The fresh binary checkpoint supersedes any gzip-text file a
-			// pre-v2 run left behind; drop it so resolveCheckpoint never
-			// resurrects stale probing.
-			os.Remove(legacy)
-			os.Remove(legacy + ".plan")
 		}
 	}
 	if err == nil && s.epochMode {
@@ -818,7 +783,7 @@ func (s *pipeState) recordRoundStats(sc *pipeline.StageContext, stage string, st
 // resumeRound replays a complete checkpoint into the round's sink. prepare
 // runs only once the checkpoint is known to be usable (e.g. BeginRound2).
 func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.StageContext, prepare func()) (bool, error) {
-	path := s.resolveCheckpoint(stage)
+	path := s.checkpointPath(stage)
 	if path == "" {
 		return false, nil
 	}
@@ -866,8 +831,8 @@ func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.
 	}
 	s.prog.AddPlanned(int64(sum.Traces))
 	// Binary checkpoints carry a chunk index, so the replay fans decode out
-	// across the probing workers; text and legacy gzip files fall back to
-	// the sequential reader inside. Delivery order is identical either way.
+	// across the probing workers. Delivery order is identical at any worker
+	// count.
 	sink, flushSink := s.roundSink(sc)
 	_, err = tracefile.ReplayFileParallelCtx(ctx, path, s.cfg.Workers, sink)
 	flushSink()

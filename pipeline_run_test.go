@@ -331,9 +331,12 @@ func TestTornBinaryCheckpointReprobes(t *testing.T) {
 	}
 }
 
-// TestLegacyTextCheckpointResumes: a checkpoint directory written by a
-// pre-v2 run (gzip text under the old *.traces.gz names) still resumes.
-func TestLegacyTextCheckpointResumes(t *testing.T) {
+// TestLegacyTextCheckpointIgnored: binary v2 is the only resumable
+// checkpoint format. A complete gzip-text checkpoint (the interchange
+// encoding, under the old *.traces.gz names) left in the checkpoint
+// directory is not replayed: both probing rounds re-probe, and the report
+// still matches the original run.
+func TestLegacyTextCheckpointIgnored(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Topology.Seed = 21
 	dir := t.TempDir()
@@ -341,7 +344,7 @@ func TestLegacyTextCheckpointResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Downgrade both checkpoints to the legacy encoding and name.
+	// Swap both binary checkpoints for complete gzip-text copies.
 	for _, stage := range []string{"campaign", "expansion"} {
 		binPath := filepath.Join(dir, stage+".traces.bin")
 		gzPath := filepath.Join(dir, stage+".traces.gz")
@@ -355,25 +358,26 @@ func TestLegacyTextCheckpointResumes(t *testing.T) {
 		if err := w.Finish(); err != nil {
 			t.Fatal(err)
 		}
+		if sum, err := tracefile.ScanFile(gzPath); err != nil || !sum.Complete {
+			t.Fatalf("%s: gzip copy not complete: %+v, %v", stage, sum, err)
+		}
 		if err := os.Remove(binPath); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cfg2 := SmallConfig()
-	cfg2.Topology.Seed = 21
-	res, rep, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir, Resume: true})
+	res, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range rep.Manifest.Stages {
 		if st.Name == "campaign" || st.Name == "expansion" {
-			if st.Status != pipeline.StatusResumed {
-				t.Fatalf("stage %s over a legacy checkpoint: status %q, want resumed", st.Name, st.Status)
+			if st.Status != pipeline.StatusOK {
+				t.Fatalf("stage %s beside a gzip-text checkpoint: status %q, want %q (re-probed)", st.Name, st.Status, pipeline.StatusOK)
 			}
 		}
 	}
 	if res.Report() != res0.Report() {
-		t.Fatal("legacy-checkpoint resume diverged from the original run")
+		t.Fatal("re-probed run diverged from the original run")
 	}
 }
 

@@ -13,6 +13,12 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> cloudbench (a separate module, so ./... skips it): go vet + go build"
+CB_DIR="$(mktemp -d)"
+go -C cloudbench vet .
+go -C cloudbench build -o "$CB_DIR/" .
+rm -rf "$CB_DIR"
+
 echo "==> go test -race -short ./..."
 # -short keeps the race pass inside the default per-package timeout: the
 # multi-run determinism/resume tests are covered without -race by
