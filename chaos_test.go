@@ -180,7 +180,7 @@ func TestChaosWorkerInvariance(t *testing.T) {
 
 // TestChaosResumeKeepsDegradation: resuming a faulted run from its
 // checkpoints replays degraded traces — the resumed run must re-raise the
-// degradation state from the stored manifest (same degradation section,
+// degradation state from the rounds' plan stamps (same degradation section,
 // bdrmap still sitting it out, identical report) rather than silently
 // treating the replayed data as clean.
 func TestChaosResumeKeepsDegradation(t *testing.T) {
@@ -193,7 +193,7 @@ func TestChaosResumeKeepsDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, rep2, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir, Resume: true})
+	res2, rep2, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +218,67 @@ func TestChaosResumeKeepsDegradation(t *testing.T) {
 	}
 }
 
+// TestChaosSessionReplayKeepsDegradation: a Session that replays its
+// probing rounds from checkpoints must schedule exactly like one that
+// re-probes them — the same per-stage input hashes and degraded flags in
+// every epoch, with only ok and resumed trading places. A replayed round
+// restores its fault/retry telemetry from its plan stamp, so replayed
+// degraded traces stay degraded.
+func TestChaosSessionReplayKeepsDegradation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six faulted epochs")
+	}
+	run := func(dir string) []*EpochReport {
+		s, err := NewSession(chaosConfig(t), SessionOptions{CheckpointDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var reps []*EpochReport
+		for i := 0; i < 3; i++ {
+			_, rep, err := s.RunEpoch(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, rep)
+		}
+		return reps
+	}
+	replayed, reprobed := run(t.TempDir()), run("")
+	okOrResumed := func(st pipeline.Status) bool {
+		return st == pipeline.StatusOK || st == pipeline.StatusResumed
+	}
+	resumed := 0
+	for e := range replayed {
+		a, b := replayed[e].Stages, reprobed[e].Stages
+		if len(a) != len(b) {
+			t.Fatalf("epoch %d: %d stages with checkpoints, %d without", e+1, len(a), len(b))
+		}
+		for i := range a {
+			x, y := a[i], b[i]
+			if x.Status == pipeline.StatusResumed {
+				resumed++
+			}
+			if x.Status != y.Status && !(okOrResumed(x.Status) && okOrResumed(y.Status)) {
+				t.Errorf("epoch %d %s: status %q with checkpoints, %q without", e+1, x.Name, x.Status, y.Status)
+			}
+			if x.Degraded != y.Degraded {
+				t.Errorf("epoch %d %s: degraded=%v with checkpoints, %v without", e+1, x.Name, x.Degraded, y.Degraded)
+			}
+			if x.InputHash != y.InputHash {
+				t.Errorf("epoch %d %s: input hash %s with checkpoints, %s without", e+1, x.Name, x.InputHash, y.InputHash)
+			}
+		}
+	}
+	if resumed == 0 {
+		t.Fatal("no stage replayed a checkpoint, so the comparison proved nothing")
+	}
+}
+
 // TestConfigHashFaultPlan: the fault plan participates in the config hash by
 // value — equal plans at different addresses hash the same (a pointer in a
-// %#v dump would differ every process), and changing a knob changes the hash
-// so a resume cannot silently mix checkpoints from different plans.
+// %#v dump would differ every process), and changing a knob changes the
+// manifest's reported hash.
 func TestConfigHashFaultPlan(t *testing.T) {
 	base := configHash(SmallConfig())
 
@@ -299,7 +356,7 @@ func TestMidDAGFailureLeavesResumableCheckpoints(t *testing.T) {
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
 	}
-	res2, rep2, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir, Resume: true})
+	res2, rep2, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatalf("resume after clearing the failure: %v", err)
 	}

@@ -37,8 +37,10 @@ import (
 type SessionOptions struct {
 	// CheckpointDir persists the probing rounds between epochs so an epoch
 	// whose annotation datasets changed (but whose probing plan did not)
-	// replays the stored traces instead of re-probing. Empty disables
-	// replay: such epochs re-probe (same traces, more work).
+	// replays the stored traces instead of re-probing — the same plan-stamp
+	// rule as RunOptions.CheckpointDir, which also lets a restarted session
+	// replay what an earlier process probed. Empty disables replay: such
+	// epochs re-probe (same traces, more work).
 	CheckpointDir string
 	// Metrics receives every stage's instruments across all epochs; nil
 	// creates a private registry. Counters accumulate over the session's
@@ -114,19 +116,7 @@ func NewSession(cfg Config, opts SessionOptions) (*Session, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	st := &pipeState{
-		cfg:          cfg,
-		opts:         RunOptions{CheckpointDir: opts.CheckpointDir, Progress: opts.Progress},
-		sys:          sys,
-		prog:         opts.Progress,
-		epochMode:    true,
-		stageHash:    make(map[string]string),
-		probePlanNow: make(map[string]string),
-		probeGate:    make(map[string]string),
-	}
-	if opts.Dispatch != nil {
-		st.disp = dispatch.NewController(*opts.Dispatch, dispatch.Fingerprint(cfg.Topology, cfg.Faults))
-	}
+	st := newPipeState(cfg, RunOptions{CheckpointDir: opts.CheckpointDir, Progress: opts.Progress, Dispatch: opts.Dispatch}, sys)
 	return &Session{cfg: cfg, opts: opts, sys: sys, st: st, reg: reg, prev: make(map[string]string)}, nil
 }
 
@@ -170,7 +160,6 @@ func (s *Session) SetRegistry(reg *registry.Registry) { s.sys.Registry = reg }
 func (s *Session) RunEpoch(ctx context.Context) (*Result, *EpochReport, error) {
 	s.epoch++
 	stages, err := newRunner(s.reg).Run(ctx, s.st, pipeline.Options{
-		Resume:     true,
 		Progress:   s.opts.Progress,
 		PrevHashes: s.prev,
 	})
@@ -258,18 +247,12 @@ func (s *pipeState) probePlanHash(extra ...string) string {
 }
 
 func (s *pipeState) topoGenHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("topo-gen", shortHash("topo-gen", canonJSON(s.cfg.Topology)))
 }
 
 // datasetsInputHash serializes the (possibly churned) registry and hashes
 // each dataset file; the serialization is cached for the stage's Run.
 func (s *pipeState) datasetsInputHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	corpus := datasets.Serialize(s.sys.Registry, s.cfg.Topology.Seed, s.cfg.Dirty)
 	s.corpus = corpus
 	s.dsHash = make(map[string]string, len(datasets.Datasets))
@@ -283,50 +266,33 @@ func (s *pipeState) datasetsInputHash() string {
 }
 
 func (s *pipeState) campaignHash() string {
-	if !s.epochMode {
-		return ""
-	}
-	s.probePlanNow["campaign"] = s.probePlanHash("round1", fmt.Sprint(s.cfg.IncludePrivateTargets))
-	return s.put("campaign", shortHash("campaign", s.probePlanNow["campaign"], s.annotationHash()))
+	s.probePlan["campaign"] = s.probePlanHash("round1", fmt.Sprint(s.cfg.IncludePrivateTargets))
+	return s.put("campaign", shortHash("campaign", s.probePlan["campaign"], s.annotationHash()))
 }
 
 func (s *pipeState) borderHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("border", shortHash("border", s.stageHash["campaign"]))
 }
 
 func (s *pipeState) expansionHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	// The expansion target set derives from round-1 inference; its hash
 	// gates checkpoint replay separately from the stage hash (a changed
 	// candidate set must re-probe even though the fault plan is unchanged).
-	targets := probe.ExpansionTargets(s.inf.CandidateCBIs())
-	s.probePlanNow["expansion"] = s.probePlanHash("round2", hashIPs(targets))
+	// The list is kept for the stage's Run.
+	s.expTargets = probe.ExpansionTargets(s.inf.CandidateCBIs())
+	s.probePlan["expansion"] = s.probePlanHash("round2", hashIPs(s.expTargets))
 	return s.put("expansion", shortHash("expansion", s.stageHash["campaign"]))
 }
 
 func (s *pipeState) aliasHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("alias", shortHash("alias", s.stageHash["expansion"], canonJSON(s.cfg.Midar)))
 }
 
 func (s *pipeState) verifyHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("verify", shortHash("verify", s.stageHash["alias"], canonJSON(s.cfg.Verify)))
 }
 
 func (s *pipeState) pinningHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("pinning", shortHash("pinning",
 		s.stageHash["verify"],
 		s.dsHash[datasets.DSFacilities], s.dsHash[datasets.DSRDNS],
@@ -334,46 +300,28 @@ func (s *pipeState) pinningHash() string {
 }
 
 func (s *pipeState) vpiHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("vpi", shortHash("vpi",
 		s.stageHash["expansion"], canonJSON(s.cfg.VPIClouds), s.dsHash[datasets.DSClouds]))
 }
 
 func (s *pipeState) classifyHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("classify", shortHash("classify",
 		s.stageHash["verify"], s.stageHash["pinning"], s.stageHash["vpi"],
 		s.dsHash[datasets.DSASRel], s.dsHash[datasets.DSCones], s.dsHash[datasets.DSRDNS]))
 }
 
 func (s *pipeState) icgHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("icg", shortHash("icg", s.stageHash["verify"], s.stageHash["pinning"]))
 }
 
 func (s *pipeState) bdrmapHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("bdrmap", shortHash("bdrmap", s.stageHash["verify"], canonJSON(s.cfg.Bdrmap)))
 }
 
 func (s *pipeState) invariantsHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("invariants", shortHash("invariants", s.stageHash["classify"], s.stageHash["icg"]))
 }
 
 func (s *pipeState) evaluateHash() string {
-	if !s.epochMode {
-		return ""
-	}
 	return s.put("evaluate", shortHash("evaluate", s.stageHash["invariants"], s.stageHash["bdrmap"]))
 }

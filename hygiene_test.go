@@ -225,8 +225,8 @@ func TestDegradationReportDatasetOnly(t *testing.T) {
 	}
 }
 
-// TestConfigHashDirtyPlan: the dirty plan participates in the config hash
-// by value, so a resume cannot mix checkpoints from different plans.
+// TestConfigHashDirtyPlan: the dirty plan participates in the manifest's
+// reported config hash by value.
 func TestConfigHashDirtyPlan(t *testing.T) {
 	base := configHash(SmallConfig())
 	mk := func(seed uint64) Config {

@@ -9,9 +9,10 @@
 //     counters/gauges/histograms (internal/metrics), exported as JSON;
 //   - context-based cancellation checked between stages and passed into each
 //     stage for prompt mid-stage aborts;
-//   - checkpoint/resume hooks: a stage that persisted its outputs can
-//     restore them instead of recomputing, which lets a run skip the
-//     expensive probing campaigns entirely.
+//   - checkpoint/resume hooks: a stage that persisted its outputs restores
+//     them instead of recomputing whenever its hook finds a usable
+//     checkpoint, which lets a run skip the expensive probing campaigns
+//     entirely.
 //
 // Stages share a caller-defined state type S; each stage reads the fields
 // its dependencies filled in and writes its own. Execution order is the
@@ -61,9 +62,10 @@ type Stage[S any] struct {
 	// recorded as skipped-degraded instead of running on data that would
 	// make their output misleading; their dependents still run.
 	ToleratePartial bool
-	// Resume, when non-nil and resume mode is on, tries to restore the
-	// stage's outputs from a checkpoint. Returning true skips Run and
-	// records the stage as resumed; returning false falls through to Run.
+	// Resume, when non-nil, tries to restore the stage's outputs from a
+	// checkpoint before every Run. Returning true skips Run and records the
+	// stage as resumed; returning false falls through to Run. The hook
+	// alone decides whether its checkpoint is usable.
 	Resume func(ctx context.Context, s *S, sc *StageContext) (bool, error)
 	// InputHash, when non-nil, fingerprints every input the stage reads:
 	// configuration, external datasets, and upstream outputs (typically by
@@ -192,8 +194,6 @@ type StageResult struct {
 
 // Options tunes one Run call.
 type Options struct {
-	// Resume consults each stage's Resume hook before running it.
-	Resume bool
 	// Tracer, when non-nil, records one span per executed stage (kind
 	// "stage"), a point event per skipped stage, and hands each stage a
 	// child-span handle via StageContext.Span. Nil disables tracing at the
@@ -350,7 +350,7 @@ func (r *Runner[S]) Run(ctx context.Context, s *S, opts Options) ([]StageResult,
 		start := time.Now()
 
 		status := StatusOK
-		resumed, stageErr := invokeStage(ctx, st, s, sc, opts.Resume)
+		resumed, stageErr := invokeStage(ctx, st, s, sc)
 		if resumed && stageErr == nil {
 			status = StatusResumed
 		}
@@ -394,18 +394,18 @@ func (r *Runner[S]) Run(ctx context.Context, s *S, opts Options) ([]StageResult,
 	return results, nil
 }
 
-// invokeStage runs the stage's Resume (when enabled) and Run hooks with
+// invokeStage runs the stage's Resume (when declared) and Run hooks with
 // panic containment: a panic in either hook is recovered into a
 // *StagePanicError, so a misbehaving stage degrades the run — failed
 // stage, downstream not-run — rather than crashing the process.
-func invokeStage[S any](ctx context.Context, st *Stage[S], s *S, sc *StageContext, resume bool) (resumed bool, err error) {
+func invokeStage[S any](ctx context.Context, st *Stage[S], s *S, sc *StageContext) (resumed bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			resumed = false
 			err = &StagePanicError{Stage: st.Name, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if resume && st.Resume != nil {
+	if st.Resume != nil {
 		resumed, err = st.Resume(ctx, s, sc)
 		if resumed || err != nil {
 			return resumed, err

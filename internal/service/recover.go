@@ -87,8 +87,8 @@ func (d *Daemon) rehydrate() error {
 	last := entries[len(entries)-1]
 
 	var ck *storeCheckpoint
-	if d.ckptDir != "" {
-		ck = loadNewestCheckpoint(d.ckptDir, func(path string, cerr error) {
+	if d.cfg.StateDir != "" {
+		ck = loadNewestCheckpoint(d.cfg.StateDir, func(path string, cerr error) {
 			d.recovery.RejectedCheckpoints = append(d.recovery.RejectedCheckpoints, filepath.Base(path))
 			d.log.Warn("recovery: skipping damaged checkpoint", "checkpoint", filepath.Base(path), "err", cerr)
 		})

@@ -7,7 +7,8 @@ package cloudmap
 // first-class: each stage is named, depends on the stages whose outputs it
 // reads, reports wall-clock/allocation/counter telemetry, and (for the two
 // probing rounds) checkpoints its traces through internal/tracefile so a
-// run can resume from stored probes and skip straight to inference.
+// later run whose probing plan is unchanged replays the stored probes and
+// skips straight to inference.
 
 import (
 	"bufio"
@@ -21,7 +22,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"cloudmap/internal/bdrmap"
 	"cloudmap/internal/border"
@@ -43,15 +43,16 @@ import (
 // RunOptions tunes RunPipeline beyond the pipeline Config.
 type RunOptions struct {
 	// CheckpointDir, when non-empty, persists the probing rounds as binary
-	// v2 tracefiles (campaign.traces.bin, expansion.traces.bin) plus the run
-	// manifest (manifest.json) in that directory. Binary v2 is the only
-	// probe-checkpoint format a resume reads: a gzip-text *.traces.gz left
-	// there by a pre-v2 run is ignored, and that round re-probes.
+	// v2 tracefiles (campaign.traces.bin, expansion.traces.bin), each with a
+	// probing-plan stamp beside it (<round>.traces.bin.plan), plus the run
+	// manifest (manifest.json) in that directory. A run over a directory
+	// that already holds a round replays it instead of probing whenever the
+	// tracefile is complete and its stamp matches this run's probing plan
+	// (topology, fault plan, retry policy, target set); anything else —
+	// an interrupted or torn file, a missing or foreign stamp — re-probes
+	// and overwrites. Binary v2 is the only format replayed: a gzip-text
+	// *.traces.gz left there by a pre-v2 run is ignored.
 	CheckpointDir string
-	// Resume replays complete campaign checkpoints from CheckpointDir
-	// instead of re-probing; interrupted (trailer-less) checkpoints are
-	// re-probed from scratch and overwritten. Requires CheckpointDir.
-	Resume bool
 	// Metrics receives every stage's instruments; nil creates a private
 	// registry, exposed on the returned RunReport either way.
 	Metrics *metrics.Registry
@@ -86,16 +87,20 @@ type RunOptions struct {
 const manifestVersion = 3
 
 // Manifest is the machine-readable record of one pipeline run: enough to
-// regenerate benchmark trajectories mechanically and to validate that a
-// resume matches the run that wrote the checkpoints.
+// regenerate benchmark trajectories mechanically and to tell which stages
+// replayed checkpoints.
 type Manifest struct {
 	Version int `json:"version"`
 	// ConfigHash fingerprints every result-affecting Config field (the
 	// trace sink and worker count are excluded: neither changes output).
+	// It is reported only; checkpoint replay is decided per probing round
+	// by the round's plan stamp.
 	ConfigHash string `json:"config_hash"`
 	Seed       uint64 `json:"seed"`
 	Workers    int    `json:"workers"`
-	Resumed    bool   `json:"resumed"`
+	// Resumed is set when some stage restored its outputs from a
+	// checkpoint (status "resumed").
+	Resumed bool `json:"resumed"`
 	// Stages holds one telemetry entry per declared stage, in execution
 	// order: name, status, wall time, allocations, scoped counters.
 	Stages []pipeline.StageResult `json:"stages"`
@@ -186,20 +191,9 @@ func StageNames() []string {
 // fails, recording how far it got.
 func RunPipeline(ctx context.Context, sys *System, cfg Config, opts RunOptions) (*Result, *RunReport, error) {
 	cfg = cfg.withDefaults()
-	if opts.Resume && opts.CheckpointDir == "" {
-		return nil, nil, fmt.Errorf("cloudmap: Resume requires CheckpointDir")
-	}
 	if opts.CheckpointDir != "" {
 		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("cloudmap: checkpoint dir: %w", err)
-		}
-	}
-	hash := configHash(cfg)
-	var prev *Manifest
-	if opts.Resume {
-		var err error
-		if prev, err = loadCompatibleManifest(opts.CheckpointDir, hash); err != nil {
-			return nil, nil, err
 		}
 	}
 
@@ -227,26 +221,25 @@ func RunPipeline(ctx context.Context, sys *System, cfg Config, opts RunOptions) 
 		tracer = obs.NewTracer(jw, opts.TracePath != "")
 	}
 
-	st := &pipeState{cfg: cfg, opts: opts, sys: sys, prog: opts.Progress}
-	if opts.Dispatch != nil {
-		st.disp = dispatch.NewController(*opts.Dispatch, dispatch.Fingerprint(cfg.Topology, cfg.Faults))
+	st := newPipeState(cfg, opts, sys)
+	if st.disp != nil {
 		defer st.disp.Close()
 	}
-	if prev != nil && prev.Degradation != nil {
-		st.prevRounds = prev.Degradation.Rounds
-	}
 	stages, err := newRunner(reg).Run(ctx, st, pipeline.Options{
-		Resume:   opts.Resume,
 		Tracer:   tracer,
 		Progress: opts.Progress,
 	})
+	resumed := false
+	for _, sr := range stages {
+		resumed = resumed || sr.Status == pipeline.StatusResumed
+	}
 	rep := &RunReport{
 		Manifest: Manifest{
 			Version:     manifestVersion,
-			ConfigHash:  hash,
+			ConfigHash:  configHash(cfg),
 			Seed:        cfg.Topology.Seed,
 			Workers:     cfg.Workers,
-			Resumed:     opts.Resume,
+			Resumed:     resumed,
 			Stages:      stages,
 			Summary:     st.summary,
 			Degradation: degradationReport(st, stages),
@@ -281,8 +274,7 @@ func RunPipeline(ctx context.Context, sys *System, cfg Config, opts RunOptions) 
 		}
 	}
 	if opts.CheckpointDir != "" {
-		// Written even on failure: the manifest records how far the run got,
-		// and a later resume validates its config hash.
+		// Written even on failure: the manifest records how far the run got.
 		if werr := writeManifest(opts.CheckpointDir, rep); werr != nil && err == nil {
 			err = werr
 		}
@@ -315,39 +307,51 @@ type pipeState struct {
 	// summary is filled by the evaluate stage and lands in the manifest.
 	summary map[string]float64
 	// roundStats collects per-round fault/retry telemetry for the
-	// manifest's degradation report. prevRounds carries the previous run's
-	// telemetry (from the checkpoint dir's manifest) so a resumed round
-	// replays its degradation state along with its traces.
+	// manifest's degradation report; a replayed round restores its entry
+	// from the checkpoint's plan stamp.
 	roundStats map[string]probe.CampaignStats
-	prevRounds map[string]probe.CampaignStats
 
-	// Epoch-mode fields (Session only; zero-valued under RunPipeline).
-	// epochMode switches the stage InputHash hooks on: each stage
-	// fingerprints its inputs so the runner can hash-skip stages whose
-	// inputs did not change between epochs.
-	epochMode bool
-	// stageHash holds this epoch's computed input hashes by stage name;
-	// downstream InputHash hooks fold upstream entries in (sound because
-	// every stage is a deterministic function of its inputs).
+	// Input hashing (every run; a Session compares the hashes across
+	// epochs to hash-skip stages whose inputs did not change). stageHash
+	// holds this run's computed input hashes by stage name; downstream
+	// InputHash hooks fold upstream entries in (sound because every stage
+	// is a deterministic function of its inputs).
 	stageHash map[string]string
 	// dsHash maps dataset name -> content hash of its serialized form this
-	// epoch (set by datasetsInputHash before the datasets stage decides).
+	// run (set by datasetsInputHash before the datasets stage decides).
 	dsHash map[string]string
 	// corpus caches the serialization datasetsInputHash produced so the
-	// datasets stage does not serialize twice in one epoch.
+	// datasets stage does not serialize twice.
 	corpus *datasets.Corpus
+	// expTargets caches the expansion target list expansionHash derived so
+	// the expansion stage does not list it twice.
+	expTargets []netblock.IP
 	// lastAnnHash is the annotation-relevant dataset hash behind the
 	// current s.inf; the datasets stage only rebuilds the inference sink
 	// (forcing the campaign to re-run over the stored traces) when it
 	// changes.
 	lastAnnHash string
-	// probePlanNow / probeGate gate checkpoint replay per probing round:
-	// probePlanNow is this epoch's probing-plan hash (topology, fault and
-	// retry schedule, target set), probeGate the hash backing the round's
-	// on-disk checkpoint. A mismatch re-probes live instead of replaying a
-	// checkpoint recorded under different probing inputs.
-	probePlanNow map[string]string
-	probeGate    map[string]string
+	// probePlan holds this run's probing-plan hash per round (topology,
+	// fault and retry schedule, target set). A round's checkpoint replays
+	// only when its plan stamp carries the same hash.
+	probePlan map[string]string
+}
+
+// newPipeState prepares the shared stage state for one RunPipeline call or
+// for the lifetime of a Session.
+func newPipeState(cfg Config, opts RunOptions, sys *System) *pipeState {
+	st := &pipeState{
+		cfg:       cfg,
+		opts:      opts,
+		sys:       sys,
+		prog:      opts.Progress,
+		stageHash: make(map[string]string),
+		probePlan: make(map[string]string),
+	}
+	if opts.Dispatch != nil {
+		st.disp = dispatch.NewController(*opts.Dispatch, dispatch.Fingerprint(cfg.Topology, cfg.Faults))
+	}
+	return st
 }
 
 // degradationReport assembles the manifest's degradation section; nil when
@@ -562,10 +566,7 @@ func (s *pipeState) topoGen(_ context.Context, sc *pipeline.StageContext) error 
 // the round trip is faithful and the rebuilt registry annotates identically
 // to the original.
 func (s *pipeState) datasets(_ context.Context, sc *pipeline.StageContext) error {
-	corpus := s.corpus // serialized by datasetsInputHash in epoch mode
-	if corpus == nil {
-		corpus = datasets.Serialize(s.sys.Registry, s.cfg.Topology.Seed, s.cfg.Dirty)
-	}
+	corpus := s.corpus // serialized by datasetsInputHash
 	s.corpus = nil
 	if dir := s.opts.DatasetsDir; dir != "" {
 		if err := corpus.WriteDir(dir); err != nil {
@@ -575,13 +576,14 @@ func (s *pipeState) datasets(_ context.Context, sc *pipeline.StageContext) error
 	view := datasets.Load(corpus, s.sys.Registry.World)
 	s.hyg = view
 	s.res.Hygiene = view
-	// In epoch mode the border-inference sink is rebuilt only when the
-	// datasets that annotate hops (RIB, WHOIS, IXPs, as2org, clouds)
-	// changed: a rebuild invalidates the accumulated inference and forces
-	// the campaign stage to re-run (replaying its checkpointed traces).
-	// Dataset churn elsewhere — facilities, relationships, cones, rDNS —
-	// leaves the inference intact so probing-derived stages hash-skip.
-	if ann := s.annotationHash(); !s.epochMode || s.inf == nil || s.lastAnnHash != ann {
+	// Across a Session's epochs the border-inference sink is rebuilt only
+	// when the datasets that annotate hops (RIB, WHOIS, IXPs, as2org,
+	// clouds) changed: a rebuild invalidates the accumulated inference and
+	// forces the campaign stage to re-run (replaying its checkpointed
+	// traces). Dataset churn elsewhere — facilities, relationships, cones,
+	// rDNS — leaves the inference intact so probing-derived stages
+	// hash-skip.
+	if ann := s.annotationHash(); s.inf == nil || s.lastAnnHash != ann {
 		s.inf = border.New(view.Registry, "amazon")
 		s.lastAnnHash = ann
 	}
@@ -677,7 +679,8 @@ func (s *pipeState) roundSink(sc *pipeline.StageContext) (probe.TraceSink, func(
 }
 
 // checkpointPath names a probing round's binary v2 tracefile; "" when
-// checkpointing is off.
+// checkpointing is off. The round's plan stamp sits beside it, at the same
+// path plus ".plan".
 func (s *pipeState) checkpointPath(stage string) string {
 	if s.opts.CheckpointDir == "" {
 		return ""
@@ -685,17 +688,33 @@ func (s *pipeState) checkpointPath(stage string) string {
 	return filepath.Join(s.opts.CheckpointDir, stage+".traces.bin")
 }
 
+// planStamp is the JSON object a probing round's plan stamp holds: the
+// probing-plan hash the round's tracefile was recorded under, and the
+// round's fault/retry telemetry, which a replay re-raises so replayed
+// degraded traces keep the run degraded.
+type planStamp struct {
+	Plan  string              `json:"plan"`
+	Stats probe.CampaignStats `json:"stats"`
+}
+
 // probeRound runs one probing round under the retry policy, teeing traces
 // into the stage's checkpoint when enabled. epoch separates the virtual
-// fault-time schedules of the two rounds. On error (including cancellation)
-// the partially written checkpoint is flushed without its completeness
-// trailer: loadable, but marked interrupted so a resume re-probes instead
-// of trusting it. Fault/retry telemetry lands in the stage's instruments,
-// s.roundStats, and — when the round was degraded — a sc.Degrade note.
+// fault-time schedules of the two rounds. The round's plan stamp is
+// removed before the tracefile is rewritten and written only once the
+// tracefile is finished, so a stamp never vouches for a file it did not
+// see completed. On error (including cancellation) the partially written
+// checkpoint is flushed without its completeness trailer: loadable, but
+// marked interrupted so a later run re-probes instead of trusting it.
+// Fault/retry telemetry lands in the stage's instruments, s.roundStats,
+// and — when the round was degraded — a sc.Degrade note.
 func (s *pipeState) probeRound(ctx context.Context, sc *pipeline.StageContext, stage string, epoch uint64, targets []netblock.IP) error {
 	sink, flushSink := s.roundSink(sc)
+	path := s.checkpointPath(stage)
 	var fw *tracefile.FileWriter
-	if path := s.checkpointPath(stage); path != "" {
+	if path != "" {
+		if err := os.Remove(path + ".plan"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("checkpoint stamp %s.plan: %w", path, err)
+		}
 		var err error
 		if fw, err = tracefile.Create(path); err != nil {
 			return fmt.Errorf("checkpoint %s: %w", path, err)
@@ -721,26 +740,22 @@ func (s *pipeState) probeRound(ctx context.Context, sc *pipeline.StageContext, s
 		if err != nil {
 			fw.Close()
 		} else if cerr := fw.Finish(); cerr != nil {
-			err = fmt.Errorf("checkpoint %s: %w", s.checkpointPath(stage), cerr)
-		}
-	}
-	if err == nil && s.epochMode {
-		// The freshly written checkpoint now embodies this probing plan;
-		// later epochs with an unchanged plan may replay it. The gate is
-		// persisted next to the tracefile too, so a restarted daemon (whose
-		// in-memory gate is empty) can still replay instead of re-probing.
-		if s.probeGate == nil {
-			s.probeGate = make(map[string]string)
-		}
-		s.probeGate[stage] = s.probePlanNow[stage]
-		if path := s.checkpointPath(stage); path != "" {
-			if werr := os.WriteFile(path+".plan", []byte(s.probePlanNow[stage]+"\n"), 0o644); werr != nil {
-				err = fmt.Errorf("checkpoint gate %s.plan: %w", path, werr)
-			}
+			err = fmt.Errorf("checkpoint %s: %w", path, cerr)
+		} else if serr := writeStamp(path+".plan", planStamp{Plan: s.probePlan[stage], Stats: stats}); serr != nil {
+			err = fmt.Errorf("checkpoint stamp %s.plan: %w", path, serr)
 		}
 	}
 	s.recordRoundStats(sc, stage, stats)
 	return err
+}
+
+// writeStamp persists a round's plan stamp.
+func writeStamp(path string, st planStamp) error {
+	raw, err := json.Marshal(st)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
 // recordRoundStats exports one round's fault/retry telemetry and flags the
@@ -780,31 +795,17 @@ func (s *pipeState) recordRoundStats(sc *pipeline.StageContext, stage string, st
 	}
 }
 
-// resumeRound replays a complete checkpoint into the round's sink. prepare
-// runs only once the checkpoint is known to be usable (e.g. BeginRound2).
+// resumeRound replays a round's checkpoint into the round's sink when it is
+// a faithful substitute for live probing: the tracefile is complete and its
+// plan stamp names this run's probing plan (topology, fault/retry schedule,
+// target set). Anything else — no file, an interrupted or torn file, a
+// missing, torn or foreign stamp — returns false, and the round probes live
+// and overwrites both. prepare runs only once the checkpoint is known to be
+// usable (e.g. BeginRound2).
 func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.StageContext, prepare func()) (bool, error) {
 	path := s.checkpointPath(stage)
 	if path == "" {
 		return false, nil
-	}
-	// Epoch mode: the checkpoint is only a faithful substitute for live
-	// probing while the probing plan (topology, fault/retry schedule,
-	// target set) that wrote it still holds. On mismatch — including epoch
-	// one, before any checkpoint was recorded — probe live and overwrite.
-	// A fresh session (daemon restart) has an empty in-memory gate; the
-	// gate persisted alongside the tracefile stands in for it, so recovery
-	// replays checkpointed probing instead of re-running the campaigns. A
-	// torn or missing gate file simply mismatches and re-probes — safe.
-	if s.epochMode {
-		gate, ok := s.probeGate[stage]
-		if !ok {
-			if data, rerr := os.ReadFile(path + ".plan"); rerr == nil {
-				gate = strings.TrimSpace(string(data))
-			}
-		}
-		if s.probePlanNow[stage] != gate {
-			return false, nil
-		}
 	}
 	sum, err := tracefile.ScanFile(path)
 	if err != nil {
@@ -826,6 +827,13 @@ func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.
 		sc.Counter("checkpoint-partial").Inc()
 		return false, nil
 	}
+	// The stamp is checked after the scan so that an interrupted or torn
+	// round, whose stamp probeRound already removed, still shows up in the
+	// counters above.
+	var stamp planStamp
+	if raw, rerr := os.ReadFile(path + ".plan"); rerr != nil || json.Unmarshal(raw, &stamp) != nil || stamp.Plan != s.probePlan[stage] {
+		return false, nil
+	}
 	if prepare != nil {
 		prepare()
 	}
@@ -841,20 +849,10 @@ func (s *pipeState) resumeRound(ctx context.Context, stage string, sc *pipeline.
 	}
 	sc.Counter("replayed").Add(int64(sum.Traces))
 	// A checkpoint from a degraded round replays degraded traces; restore
-	// the round's fault/retry telemetry from the manifest that accompanied
-	// it, so the resumed run re-raises the degradation (and keeps bdrmap
-	// sitting it out) instead of silently treating the data as clean.
-	if cs, ok := s.prevRounds[stage]; ok {
-		s.recordRoundStats(sc, stage, cs)
-	}
-	if s.epochMode {
-		// The replay validated the persisted gate; cache it in memory so
-		// later epochs skip the file read.
-		if s.probeGate == nil {
-			s.probeGate = make(map[string]string)
-		}
-		s.probeGate[stage] = s.probePlanNow[stage]
-	}
+	// the round's fault/retry telemetry from its stamp, so the replay
+	// re-raises the degradation (and keeps bdrmap sitting it out) instead
+	// of silently treating the data as clean.
+	s.recordRoundStats(sc, stage, stamp.Stats)
 	return true, nil
 }
 
@@ -889,7 +887,8 @@ func (s *pipeState) borderSnapshot(_ context.Context, sc *pipeline.StageContext)
 // candidate CBI's /24.
 func (s *pipeState) expansion(ctx context.Context, sc *pipeline.StageContext) error {
 	s.inf.BeginRound2()
-	exp := probe.ExpansionTargets(s.inf.CandidateCBIs())
+	exp := s.expTargets // listed by expansionHash
+	s.expTargets = nil
 	sc.Counter("targets").Add(int64(len(exp)))
 	if err := s.probeRound(ctx, sc, "expansion", 2, exp); err != nil {
 		return fmt.Errorf("round 2: %w", err)
@@ -1014,8 +1013,8 @@ func (s *pipeState) evaluate(_ context.Context, sc *pipeline.StageContext) error
 
 // configHash fingerprints the result-affecting part of a Config. The trace
 // sink is a function and Workers never changes output (parallel campaigns
-// are order-deterministic), so both are excluded — a checkpoint taken on an
-// 8-core box resumes on a 64-core one. The fault plan is a pointer, which
+// are order-deterministic), so both are excluded — the same run on an
+// 8-core box and a 64-core one reports the same hash. The fault plan is a pointer, which
 // %#v would print as an address (different every run); it is folded in via
 // its canonical JSON instead.
 func configHash(cfg Config) string {
@@ -1035,30 +1034,6 @@ func configHash(cfg Config) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// manifestPath names the manifest inside a checkpoint dir.
-func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
-
-// loadCompatibleManifest reads the checkpoint dir's manifest, refusing to
-// resume over checkpoints written by a different configuration. A missing
-// manifest returns nil (stage checkpoints decide on their own).
-func loadCompatibleManifest(dir, hash string) (*Manifest, error) {
-	raw, err := os.ReadFile(manifestPath(dir))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("cloudmap: manifest: %w", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("cloudmap: manifest: %w", err)
-	}
-	if m.ConfigHash != hash {
-		return nil, fmt.Errorf("cloudmap: checkpoint dir %s was written with config hash %s, current config hashes to %s: refusing to resume", dir, m.ConfigHash, hash)
-	}
-	return &m, nil
-}
-
 // writeChromeTrace persists the tracer's buffered Chrome trace events.
 func writeChromeTrace(path string, tracer *obs.Tracer) error {
 	f, err := os.Create(path)
@@ -1076,7 +1051,7 @@ func writeChromeTrace(path string, tracer *obs.Tracer) error {
 }
 
 func writeManifest(dir string, rep *RunReport) error {
-	f, err := os.Create(manifestPath(dir))
+	f, err := os.Create(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return fmt.Errorf("cloudmap: manifest: %w", err)
 	}

@@ -131,14 +131,14 @@ func TestCancelMidCampaignLeavesPartialCheckpoint(t *testing.T) {
 		t.Fatalf("stored manifest invalid: %v", err)
 	}
 
-	// Resuming over the partial checkpoint re-probes: the checkpoint is
+	// A second run over the partial checkpoint re-probes: the checkpoint is
 	// incomplete, so the Resume hook must decline it.
 	if testing.Short() {
 		t.Skip("re-probe comparison skipped in -short mode")
 	}
 	cfg2 := SmallConfig()
 	cfg2.Topology.Seed = 42
-	res2, rep2, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir, Resume: true})
+	res2, rep2, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,8 @@ func TestCancelMidCampaignLeavesPartialCheckpoint(t *testing.T) {
 // TestInterruptAfterCampaignResumes is the headline checkpoint/resume
 // acceptance criterion: a run killed after the campaign stage (mid-expansion)
 // resumes from the stored round-1 traces and produces a byte-identical final
-// report.
+// report. A run with a different probing plan over the same checkpoints
+// replays nothing, manifest or not.
 func TestInterruptAfterCampaignResumes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run checkpoint test skipped in -short mode")
@@ -220,10 +221,11 @@ func TestInterruptAfterCampaignResumes(t *testing.T) {
 		t.Fatalf("campaign checkpoint not complete: %+v, %v", sum, err)
 	}
 
-	// Resume: round 1 replays from the checkpoint, round 2 re-probes.
+	// Re-run over the same dir: round 1 replays from the checkpoint, round 2
+	// re-probes.
 	cfgC := SmallConfig()
 	cfgC.Topology.Seed = 99
-	resC, repC, err := RunPipeline(context.Background(), nil, cfgC, RunOptions{CheckpointDir: dir, Resume: true})
+	resC, repC, err := RunPipeline(context.Background(), nil, cfgC, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,24 +243,135 @@ func TestInterruptAfterCampaignResumes(t *testing.T) {
 		t.Fatal("resumed run diverged from the uninterrupted run")
 	}
 
-	// A config change invalidates the checkpoint dir.
+	// A different probing plan never replays: a seed-100 run over the
+	// seed-99 checkpoints re-probes both rounds and matches a fresh seed-100
+	// run, with the manifest in place and without it (the manifest is
+	// written at the end of a run, so a SIGKILLed run leaves none).
 	cfgD := SmallConfig()
 	cfgD.Topology.Seed = 100
-	if _, _, err := RunPipeline(context.Background(), nil, cfgD, RunOptions{CheckpointDir: dir, Resume: true}); err == nil {
-		t.Fatal("resume with a different config accepted")
+	refD, _, err := RunPipeline(context.Background(), nil, cfgD, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keepManifest := range []bool{true, false} {
+		dirD := copyDir(t, dir)
+		if !keepManifest {
+			if err := os.Remove(filepath.Join(dirD, "manifest.json")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resD, repD, err := RunPipeline(context.Background(), nil, cfgD, RunOptions{CheckpointDir: dirD})
+		if err != nil {
+			t.Errorf("manifest=%v: %v", keepManifest, err)
+			continue
+		}
+		for _, st := range repD.Manifest.Stages {
+			if (st.Name == "campaign" || st.Name == "expansion") && st.Status != pipeline.StatusOK {
+				t.Errorf("manifest=%v: %s over another seed's checkpoint: status %q, want re-probed %q",
+					keepManifest, st.Name, st.Status, pipeline.StatusOK)
+			}
+		}
+		if repD.Manifest.Resumed {
+			t.Errorf("manifest=%v: manifest claims a resume", keepManifest)
+		}
+		if resD.Report() != refD.Report() {
+			t.Errorf("manifest=%v: run over another seed's checkpoints diverged from a fresh run", keepManifest)
+		}
 	}
 }
 
-// TestRunOptionsValidation covers the option-surface error paths.
-func TestRunOptionsValidation(t *testing.T) {
-	if _, _, err := RunPipeline(context.Background(), nil, SmallConfig(), RunOptions{Resume: true}); err == nil {
-		t.Fatal("Resume without CheckpointDir accepted")
+// copyDir copies the regular files of a flat directory into a fresh
+// temporary one.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestPlanStampRemovedBeforeReprobe pins the stamp-ordering rule: a round
+// that re-probes drops its old plan stamp before rewriting the tracefile
+// and stamps it again only once the file is finished. Otherwise a run
+// killed between finishing the new file and writing the new stamp would
+// leave a complete checkpoint beside a stale stamp from another plan, and
+// a later run under that plan would replay the wrong traces.
+func TestPlanStampRemovedBeforeReprobe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two pipeline runs skipped in -short mode")
+	}
+	cfg := SmallConfig()
+	cfg.Topology.Seed = 5
+	dir := t.TempDir()
+	stamp := filepath.Join(dir, "campaign.traces.bin.plan")
+	_, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(stamp)
+	if err != nil {
+		t.Fatalf("first run left no campaign stamp: %v", err)
+	}
+	var round1 int64
+	for _, st := range rep.Manifest.Stages {
+		if st.Name == "campaign" {
+			round1 = st.Counters["traces"]
+		}
+	}
+
+	// Same world, another retry policy: a different probing plan (the
+	// fault-free traces are the same), so the campaign re-probes. The old
+	// stamp must be gone for every trace of that campaign.
+	cfg2 := SmallConfig()
+	cfg2.Topology.Seed = 5
+	cfg2.Retry = probe.DefaultRetryPolicy()
+	var seen, stale int64
+	cfg2.RecordTraces = func(probe.Trace) {
+		if seen++; seen > round1 {
+			return
+		}
+		if _, err := os.Stat(stamp); err == nil {
+			stale++
+		}
+	}
+	_, rep2, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen < round1 || round1 == 0 {
+		t.Fatalf("second run delivered %d traces, campaign has %d", seen, round1)
+	}
+	if stale > 0 {
+		t.Fatalf("the old campaign stamp was present for %d of %d re-probed traces", stale, round1)
+	}
+	for _, st := range rep2.Manifest.Stages {
+		if st.Name == "campaign" && st.Status != pipeline.StatusOK {
+			t.Fatalf("campaign under another plan: status %q, want re-probed %q", st.Status, pipeline.StatusOK)
+		}
+	}
+	now, err := os.ReadFile(stamp)
+	if err != nil {
+		t.Fatalf("re-probed campaign left no stamp: %v", err)
+	}
+	if bytes.Equal(now, old) {
+		t.Fatal("re-probed campaign kept the old plan's stamp")
 	}
 }
 
-// TestConfigHashStability pins the hash semantics resume depends on: the
-// machine-dependent and output-invariant fields must not affect the hash,
-// everything else must.
+// TestConfigHashStability pins the semantics of the manifest's reported
+// config hash: the machine-dependent and output-invariant fields must not
+// affect the hash, everything else must.
 func TestConfigHashStability(t *testing.T) {
 	base := SmallConfig()
 	h := configHash(base)
@@ -304,7 +417,7 @@ func TestTornBinaryCheckpointReprobes(t *testing.T) {
 
 	cfg2 := SmallConfig()
 	cfg2.Topology.Seed = 7
-	res, rep, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir, Resume: true})
+	res, rep, err := RunPipeline(context.Background(), nil, cfg2, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +478,7 @@ func TestLegacyTextCheckpointIgnored(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir, Resume: true})
+	res, rep, err := RunPipeline(context.Background(), nil, cfg, RunOptions{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +509,7 @@ func TestResumeWorkerInvariance(t *testing.T) {
 		cfgW := SmallConfig()
 		cfgW.Topology.Seed = 33
 		cfgW.Workers = workers
-		res, rep, err := RunPipeline(context.Background(), nil, cfgW, RunOptions{CheckpointDir: dir, Resume: true})
+		res, rep, err := RunPipeline(context.Background(), nil, cfgW, RunOptions{CheckpointDir: dir})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
